@@ -24,10 +24,15 @@ static:
 # the campaign report golden are infeasible under the detector, so
 # they are skipped there and must run here explicitly), and a short
 # fuzz pass over the checkpoint decoder (seeds plus 10s of mutation).
+# A stress leg reruns the done-implies-durable tests 20 times on one
+# core under the race detector, since their failures are ordering races
+# a single pass can miss (~20 min on 2 vCPUs: TestResumeFromStore runs
+# four real pipelines per pass, so it gets the race gate's timeout).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
 	$(GO) test -race -timeout 45m ./...
+	GOMAXPROCS=1 $(GO) test -race -count=20 -timeout 45m -run 'DoneImpliesDurable|StoreCorruptionAtGet|ResumeFromStore' ./internal/service ./internal/campaign
 	$(GO) test -run '^TestDaemonSmoke$$' -timeout 10m ./cmd/greenvizd
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign

@@ -51,32 +51,21 @@ func runCampaign(path string, workers int, quiet bool) error {
 	if !quiet {
 		progress = os.Stderr
 	}
-	idx := 0
-	for {
-		events, closed, wake := c.EventsAfter(idx)
-		idx += len(events)
-		for _, ev := range events {
-			switch ev.Type {
-			case "expanded":
-				fmt.Fprintf(progress, "campaign %s: %d points\n", c.ID, ev.Points)
-			case "point":
-				note := ""
-				if ev.Deduped {
-					note = " (deduped)"
-				}
-				if ev.Error != "" {
-					note += ": " + ev.Error
-				}
-				fmt.Fprintf(progress, "  point %d %s: %s%s\n", ev.Point, ev.Label, ev.State, note)
+	c.Follow(context.Background(), func(ev campaign.Event) {
+		switch ev.Type {
+		case "expanded":
+			fmt.Fprintf(progress, "campaign %s: %d points\n", c.ID, ev.Points)
+		case "point":
+			note := ""
+			if ev.Deduped {
+				note = " (deduped)"
 			}
+			if ev.Error != "" {
+				note += ": " + ev.Error
+			}
+			fmt.Fprintf(progress, "  point %d %s: %s%s\n", ev.Point, ev.Label, ev.State, note)
 		}
-		if closed {
-			break
-		}
-		if len(events) == 0 {
-			<-wake
-		}
-	}
+	})
 
 	report, ok := c.Report()
 	if !ok {

@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +360,91 @@ func TestResumeFromStore(t *testing.T) {
 	}
 }
 
+// TestDoneImpliesDurable pins the lifecycle's ordering contract for
+// campaigns: the instant a campaign first reads done, its state record
+// is already in the store, and shutting the job manager down right
+// away (which closes the store) loses nothing — the next generation's
+// loadState finds it. The sweep's one job runs once up front; each
+// iteration seeds a fresh store with its report, so every point is a
+// store or cache hit and the loop exercises only the campaign's own
+// persist-then-publish step.
+func TestDoneImpliesDurable(t *testing.T) {
+	kernelWorkers := make([]string, 32)
+	for i := range kernelWorkers {
+		kernelWorkers[i] = fmt.Sprint(i + 1)
+	}
+	spec := Spec{
+		Name: "durable",
+		Base: service.JobSpec{Pipeline: "post", Case: 1, RealSubsteps: 2, Seed: 1},
+		// kernel_workers is digest-excluded, so all 32 points share one
+		// job: the sweep costs one execution, but the state record and
+		// report span 32 rows.
+		Axes: []Axis{{Name: "kernel_workers", Values: kernelWorkers}},
+	}
+	norm, _ := spec.Normalized()
+	points, err := Expand(norm)
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	job, err := newJobManager(t, nil).Submit(points[0].Spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := job.Wait(context.Background()); st != service.StateDone {
+		t.Fatalf("point state = %s", st)
+	}
+	pointReport, _ := job.Report()
+
+	root := t.TempDir()
+	open := func(dir string) *resultstore.Store {
+		st, err := resultstore.Open(resultstore.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return st
+	}
+	shutdown := func(jobs *service.Manager) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		jobs.Shutdown(ctx)
+	}
+	for i := 0; i < 200; i++ {
+		dir := filepath.Join(root, fmt.Sprint(i))
+		store := open(dir)
+		if err := store.Put(points[0].Digest, pointReport); err != nil {
+			t.Fatalf("seed store: %v", err)
+		}
+		jobs := service.NewManager(service.Options{Workers: 1, Store: store})
+		cm := NewManager(jobs, Options{})
+		c, err := cm.Start(spec)
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for !c.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: campaign stuck in %s", i, c.State())
+			}
+			runtime.Gosched()
+		}
+		if !store.Contains(stateKey(c.Digest)) {
+			t.Fatalf("iteration %d: campaign reads %s before its state record is in the store", i, c.State())
+		}
+		shutdown(jobs)
+		cm.Close()
+		if st := c.State(); st != service.StateDone {
+			t.Fatalf("iteration %d: campaign state = %s, want done", i, st)
+		}
+
+		next := service.NewManager(service.Options{Workers: 1, Store: open(dir)})
+		rec, ok := NewManager(next, Options{}).loadState(c.Digest)
+		shutdown(next)
+		if !ok || rec.Status != service.StateDone {
+			t.Fatalf("iteration %d: campaign read done but its state record is not durable (ok=%v)", i, ok)
+		}
+	}
+}
+
 // TestHTTPAPI drives the campaign REST+SSE surface against a live mux.
 func TestHTTPAPI(t *testing.T) {
 	jobs := newJobManager(t, nil)
@@ -471,6 +558,12 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("bad spec status = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+	// The 400 comes from the job layer's BadSpecError, shared by both
+	// APIs.
+	var badSpec *service.BadSpecError
+	if _, err := cm.Start(Spec{Name: "bad"}); !errors.As(err, &badSpec) {
+		t.Fatalf("Start(bad spec) = %v, want *service.BadSpecError", err)
+	}
 }
 
 // benchSpec expands to 256 points without touching axis caps.

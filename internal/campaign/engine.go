@@ -13,79 +13,22 @@ import (
 // ErrNoSuchCampaign is returned for unknown campaign IDs.
 var ErrNoSuchCampaign = errors.New("campaign: no such campaign")
 
-// BadSpecError wraps a campaign-spec validation failure (HTTP 400).
-type BadSpecError struct{ Err error }
-
-func (e *BadSpecError) Error() string { return e.Err.Error() }
-func (e *BadSpecError) Unwrap() error { return e.Err }
-
 // Campaign is one accepted sweep: its normalized spec, the expanded
-// points, the live point outcomes, and — once terminal — the rendered
-// report.
+// points, the live point outcomes, and a lifecycle (state, progress
+// events, and — once done — the rendered report) shared with the job
+// layer.
 type Campaign struct {
+	*service.Lifecycle[Event]
 	ID     string
 	Digest string
 	Spec   Spec // normalized
 	Points []Point
 
-	log *eventLog
-
 	mu       sync.Mutex
-	state    service.State
 	outcomes []pointOutcome
-	report   []byte
 	// restored marks a campaign rebuilt from a persisted state record
 	// (it never ran in this process; its report came from the store).
 	restored bool
-}
-
-// State returns the campaign's lifecycle position.
-func (c *Campaign) State() service.State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
-
-// Report returns the rendered report bytes and true once the campaign
-// is done.
-func (c *Campaign) Report() ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != service.StateDone {
-		return nil, false
-	}
-	return c.report, true
-}
-
-// EventsAfter returns the campaign events past idx, whether the
-// stream is closed, and a channel closed on the next append — the
-// replay-then-follow primitive the SSE handler and the CLI's progress
-// narration share.
-func (c *Campaign) EventsAfter(idx int) ([]Event, bool, <-chan struct{}) {
-	return c.log.after(idx)
-}
-
-// Wait blocks until the campaign is terminal or ctx expires, returning
-// the campaign state either way.
-func (c *Campaign) Wait(ctx context.Context) service.State {
-	idx := 0
-	for {
-		if st := c.State(); st.Terminal() {
-			return st
-		}
-		events, closed, wake := c.log.after(idx)
-		idx += len(events)
-		if closed {
-			return c.State()
-		}
-		if len(events) == 0 {
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return c.State()
-			}
-		}
-	}
 }
 
 // counts tallies the point outcomes for views and listings.
@@ -189,11 +132,11 @@ func (m *Manager) List() []*Campaign {
 func (m *Manager) Start(spec Spec) (*Campaign, error) {
 	norm, err := spec.Normalized()
 	if err != nil {
-		return nil, &BadSpecError{err}
+		return nil, &service.BadSpecError{Err: err}
 	}
 	points, err := Expand(norm)
 	if err != nil {
-		return nil, &BadSpecError{err}
+		return nil, &service.BadSpecError{Err: err}
 	}
 	digest := Digest(norm, points)
 	id := IDFromDigest(digest)
@@ -208,17 +151,16 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 		return nil, errors.New("campaign: manager closed")
 	}
 	c := &Campaign{
-		ID:       id,
-		Digest:   digest,
-		Spec:     norm,
-		Points:   points,
-		log:      newEventLog(),
-		state:    service.StateRunning,
-		outcomes: make([]pointOutcome, len(points)),
+		Lifecycle: service.NewLifecycle[Event](service.StateRunning),
+		ID:        id,
+		Digest:    digest,
+		Spec:      norm,
+		Points:    points,
+		outcomes:  make([]pointOutcome, len(points)),
 	}
 	if rec, ok := m.loadState(digest); ok && rec.Status == service.StateDone {
-		c.state = service.StateDone
-		c.report = []byte(rec.Report)
+		c.Lifecycle = service.DoneLifecycle([]byte(rec.Report),
+			Event{Type: "expanded", Points: len(points)}, Event{Type: "done"})
 		c.restored = true
 		for i := range c.outcomes {
 			if i < len(rec.Points) {
@@ -229,8 +171,6 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 				}
 			}
 		}
-		c.log.emit(Event{Type: "expanded", Points: len(points)})
-		c.log.emit(Event{Type: "done"})
 		m.register(c)
 		m.mu.Unlock()
 		return c, nil
@@ -255,7 +195,7 @@ func (m *Manager) run(c *Campaign) {
 	defer m.wg.Done()
 	defer m.jobs.Metrics.CampaignsActive.Add(-1)
 
-	c.log.emit(Event{Type: "expanded", Points: len(c.Points)})
+	c.Emit(Event{Type: "expanded", Points: len(c.Points)})
 
 	sem := make(chan struct{}, m.opts.PointWorkers)
 	var pwg sync.WaitGroup
@@ -289,23 +229,19 @@ func (m *Manager) run(c *Campaign) {
 		final = service.StateFailed
 	}
 
-	c.mu.Lock()
-	c.state = final
-	if final == service.StateDone {
-		c.report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
-	}
-	c.mu.Unlock()
-
-	m.persistState(c)
+	var report []byte
+	ev := Event{Type: string(final)}
 	switch final {
 	case service.StateDone:
+		c.mu.Lock()
+		report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
+		c.mu.Unlock()
 		m.jobs.Metrics.CampaignsCompleted.Add(1)
-		c.log.emit(Event{Type: "done"})
-	case service.StateCanceled:
-		c.log.emit(Event{Type: "canceled"})
-	default:
-		c.log.emit(Event{Type: "failed", Error: "no point completed"})
+	case service.StateFailed:
+		ev.Error = "no point completed"
 	}
+	// The state record is durable before "done" is visible.
+	c.Finish(final, report, nil, ev, func() { m.persistState(c, final, report) })
 }
 
 // runPoint submits one point and waits for its terminal state,
@@ -379,7 +315,7 @@ func (c *Campaign) recordOutcome(i int, out pointOutcome) {
 	c.mu.Lock()
 	c.outcomes[i] = out
 	c.mu.Unlock()
-	c.log.emit(Event{
+	c.Emit(Event{
 		Type:    "point",
 		Point:   i,
 		Label:   c.Points[i].Label,
@@ -411,14 +347,13 @@ type pointRecord struct {
 	Deduped bool          `json:"deduped,omitempty"`
 }
 
-// persistState writes the campaign's state record to the durable
-// store (no-op without one). Best-effort like job-report persistence:
-// a failed write costs a re-aggregation after restart, never
-// correctness — point reports are persisted independently by the job
-// manager, so a resumed campaign re-runs only what the store lost.
-func (m *Manager) persistState(c *Campaign) {
-	store := m.jobs.Store()
-	if store == nil {
+// persistState writes the campaign's terminal state record to the
+// durable store (no-op without one). Best-effort like job-report
+// persistence: a failed write costs a re-aggregation after restart,
+// never correctness — point reports are persisted independently by the
+// job manager, so a resumed campaign re-runs only what the store lost.
+func (m *Manager) persistState(c *Campaign, status service.State, report []byte) {
+	if m.jobs.Store() == nil {
 		return
 	}
 	c.mu.Lock()
@@ -428,8 +363,8 @@ func (m *Manager) persistState(c *Campaign) {
 		Digest:    c.Digest,
 		Name:      c.Spec.Name,
 		Objective: c.Spec.Objective,
-		Status:    c.state,
-		Report:    string(c.report),
+		Status:    status,
+		Report:    string(report),
 	}
 	for i, p := range c.Points {
 		rec.Points = append(rec.Points, pointRecord{
@@ -445,7 +380,7 @@ func (m *Manager) persistState(c *Campaign) {
 	if err != nil {
 		return
 	}
-	store.Put(stateKey(c.Digest), body)
+	m.jobs.Persist(stateKey(c.Digest), body)
 }
 
 // loadState reads a persisted state record for the campaign digest.

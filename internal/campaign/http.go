@@ -88,15 +88,15 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if err := dec.Decode(&spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				service.HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("campaign spec exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
+			service.HTTPError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
 			return
 		}
 		if dec.More() {
-			httpError(w, http.StatusBadRequest, errors.New("trailing data after campaign spec"))
+			service.HTTPError(w, http.StatusBadRequest, errors.New("trailing data after campaign spec"))
 			return
 		}
 		known := false
@@ -108,11 +108,11 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		}
 		c, err := m.Start(spec)
 		if err != nil {
-			var bad *BadSpecError
+			var bad *service.BadSpecError
 			if errors.As(err, &bad) {
-				httpError(w, http.StatusBadRequest, err)
+				service.HTTPError(w, http.StatusBadRequest, err)
 			} else {
-				httpError(w, http.StatusServiceUnavailable, err)
+				service.HTTPError(w, http.StatusServiceUnavailable, err)
 			}
 			return
 		}
@@ -120,7 +120,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if known {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, viewOf(c, false))
+		service.WriteJSON(w, status, viewOf(c, false))
 	})
 
 	mux.HandleFunc("GET /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
@@ -128,7 +128,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		for _, c := range m.List() {
 			out = append(out, viewOf(c, false))
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -136,7 +136,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, viewOf(c, true))
+		service.WriteJSON(w, http.StatusOK, viewOf(c, true))
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}/report", func(w http.ResponseWriter, r *http.Request) {
@@ -146,7 +146,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		}
 		body, done := c.Report()
 		if !done {
-			httpError(w, http.StatusConflict,
+			service.HTTPError(w, http.StatusConflict,
 				fmt.Errorf("campaign %s is %s, report available once done", c.ID, c.State()))
 			return
 		}
@@ -160,18 +160,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if !ok {
 			return
 		}
-		service.StreamSSE(w, r, m.jobs.SSEHeartbeat(), func(idx int) ([]service.SSEEvent, bool, <-chan struct{}) {
-			events, closed, wake := c.EventsAfter(idx)
-			out := make([]service.SSEEvent, 0, len(events))
-			for _, ev := range events {
-				data, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				out = append(out, service.SSEEvent{Name: ev.Type, Data: data})
-			}
-			return out, closed, wake
-		})
+		service.StreamSSE(w, r, m.jobs.SSEHeartbeat(), c.Lifecycle)
 	})
 }
 
@@ -179,22 +168,8 @@ func (m *Manager) Register(mux *http.ServeMux) {
 func (m *Manager) lookup(w http.ResponseWriter, r *http.Request) (*Campaign, bool) {
 	c, err := m.Get(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		service.HTTPError(w, http.StatusNotFound, err)
 		return nil, false
 	}
 	return c, true
-}
-
-// writeJSON writes v as an indented JSON response (the service API's
-// encoding, duplicated here because the helpers are unexported there).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

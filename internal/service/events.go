@@ -9,7 +9,7 @@ import (
 )
 
 // events.go is the live progress side of the service: every execution
-// owns an append-only event log that SSE subscribers replay and then
+// owns a Lifecycle whose event log SSE subscribers replay and then
 // follow. Events come from two sources — the manager's lifecycle
 // transitions (queued, running, done/failed/canceled) and the run's
 // telemetry stream, which the execution's consumer coalesces to one
@@ -46,64 +46,9 @@ func (e Event) Terminal() bool {
 	return false
 }
 
-// eventLog is an append-only, closable event sequence supporting
-// replay-then-follow subscribers. The zero value is not usable; use
-// newEventLog.
-type eventLog struct {
-	mu     sync.Mutex
-	events []Event
-	closed bool
-	wake   chan struct{} // closed and replaced on every append
-}
-
-func newEventLog() *eventLog {
-	return &eventLog{wake: make(chan struct{})}
-}
-
-// emit appends one event, assigning its sequence number. Terminal
-// events close the log; emits after close are dropped (a canceled
-// execution may race its own completion).
-func (l *eventLog) emit(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	ev.Seq = len(l.events) + 1
-	l.events = append(l.events, ev)
-	if ev.Terminal() {
-		l.closed = true
-	}
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
-// after returns the events past idx, whether the log is closed, and a
-// channel that is closed on the next append — the subscriber's wait
-// primitive.
-func (l *eventLog) after(idx int) ([]Event, bool, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if idx > len(l.events) {
-		idx = len(l.events)
-	}
-	return l.events[idx:], l.closed, l.wake
-}
-
-// snapshot returns a copy of all events so far.
-func (l *eventLog) snapshot() []Event {
-	evs, _, _ := l.after(0)
-	out := make([]Event, len(evs))
-	copy(out, evs)
-	return out
-}
-
-// len returns the number of events emitted so far.
-func (l *eventLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
+// Kind and Numbered make Event a Lifecycle payload.
+func (e Event) Kind() string           { return e.Type }
+func (e Event) Numbered(seq int) Event { e.Seq = seq; return e }
 
 // jobCanceled is the sentinel the execution's telemetry consumer
 // panics with to abort a run mid-flight; the manager's worker recovers
@@ -120,14 +65,14 @@ type jobCanceled struct{}
 // without threading a context through the deterministic core.
 type jobTelemetry struct {
 	ctx context.Context
-	log *eventLog
+	log *Lifecycle[Event]
 	met *Metrics
 
 	mu   sync.Mutex
 	seen map[string]bool
 }
 
-func newJobTelemetry(ctx context.Context, log *eventLog, met *Metrics) *jobTelemetry {
+func newJobTelemetry(ctx context.Context, log *Lifecycle[Event], met *Metrics) *jobTelemetry {
 	return &jobTelemetry{ctx: ctx, log: log, met: met, seen: map[string]bool{}}
 }
 
@@ -138,7 +83,7 @@ func (o *jobTelemetry) Consume(ev telemetry.Event) {
 	}
 	switch ev.Kind {
 	case telemetry.KindRunStart:
-		o.log.emit(Event{Type: "run", Run: ev.Run})
+		o.log.Emit(Event{Type: "run", Run: ev.Run})
 	case telemetry.KindStageDone:
 		o.met.addStageTime(ev.Stage, ev.End-ev.Start)
 		if ev.HasEnergy {
@@ -149,7 +94,7 @@ func (o *jobTelemetry) Consume(ev telemetry.Event) {
 		o.seen[ev.Stage] = true
 		o.mu.Unlock()
 		if first {
-			o.log.emit(Event{Type: "stage", Stage: ev.Stage, At: ev.End})
+			o.log.Emit(Event{Type: "stage", Stage: ev.Stage, At: ev.End})
 		}
 	case telemetry.KindFaultInjected:
 		o.met.FaultsInjected.Add(1)

@@ -67,15 +67,15 @@ func Handler(m *Manager) *http.ServeMux {
 		if err := dec.Decode(&spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("spec body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 			return
 		}
 		if dec.More() {
-			httpError(w, http.StatusBadRequest, errors.New("trailing data after spec object"))
+			HTTPError(w, http.StatusBadRequest, errors.New("trailing data after spec object"))
 			return
 		}
 		job, err := m.Submit(spec)
@@ -83,17 +83,17 @@ func Handler(m *Manager) *http.ServeMux {
 			var bad *BadSpecError
 			switch {
 			case errors.As(err, &bad):
-				httpError(w, http.StatusBadRequest, err)
+				HTTPError(w, http.StatusBadRequest, err)
 			case errors.Is(err, ErrQueueFull):
-				httpError(w, http.StatusTooManyRequests, err)
+				HTTPError(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, ErrDraining):
-				httpError(w, http.StatusServiceUnavailable, err)
+				HTTPError(w, http.StatusServiceUnavailable, err)
 			default:
-				httpError(w, http.StatusInternalServerError, err)
+				HTTPError(w, http.StatusInternalServerError, err)
 			}
 			return
 		}
-		writeJSON(w, http.StatusAccepted, viewOf(job))
+		WriteJSON(w, http.StatusAccepted, viewOf(job))
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -106,7 +106,7 @@ func Handler(m *Manager) *http.ServeMux {
 		if s := r.URL.Query().Get("limit"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n <= 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("limit %q must be a positive integer", s))
+				HTTPError(w, http.StatusBadRequest, fmt.Errorf("limit %q must be a positive integer", s))
 				return
 			}
 			limit = n
@@ -119,7 +119,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, j := range jobs {
 			views = append(views, viewOf(j))
 		}
-		writeJSON(w, http.StatusOK, jobsPage{Jobs: views, Next: next})
+		WriteJSON(w, http.StatusOK, jobsPage{Jobs: views, Next: next})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -127,16 +127,16 @@ func Handler(m *Manager) *http.ServeMux {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, viewOf(job))
+		WriteJSON(w, http.StatusOK, viewOf(job))
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		state, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]State{"state": state})
+		WriteJSON(w, http.StatusOK, map[string]State{"state": state})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
@@ -147,7 +147,7 @@ func Handler(m *Manager) *http.ServeMux {
 		body, done := job.Report()
 		if !done {
 			st := job.State()
-			httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s, report available once done", job.ID, st))
+			HTTPError(w, http.StatusConflict, fmt.Errorf("job %s is %s, report available once done", job.ID, st))
 			return
 		}
 		if job.Spec.Kind == KindPipeline {
@@ -164,19 +164,7 @@ func Handler(m *Manager) *http.ServeMux {
 		if !ok {
 			return
 		}
-		log := job.Events()
-		StreamSSE(w, r, m.opts.SSEHeartbeat, func(idx int) ([]SSEEvent, bool, <-chan struct{}) {
-			events, closed, wake := log.after(idx)
-			out := make([]SSEEvent, 0, len(events))
-			for _, ev := range events {
-				data, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				out = append(out, SSEEvent{Name: ev.Type, Data: data})
-			}
-			return out, closed, wake
-		})
+		StreamSSE(w, r, m.opts.SSEHeartbeat, job.exec.Lifecycle)
 	})
 
 	mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
@@ -188,7 +176,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, e := range experiments.Registry() {
 			out = append(out, expView{e.ID, e.Description})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/pipelines", func(w http.ResponseWriter, r *http.Request) {
@@ -201,7 +189,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, p := range core.Pipelines() {
 			out = append(out, pipeView{p.Flag(), p.String(), p.Clustered()})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -222,14 +210,15 @@ func Handler(m *Manager) *http.ServeMux {
 func lookup(w http.ResponseWriter, m *Manager, r *http.Request) (*Job, bool) {
 	job, err := m.Job(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		HTTPError(w, http.StatusNotFound, err)
 		return nil, false
 	}
 	return job, true
 }
 
-// writeJSON writes v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as an indented JSON response. The campaign API
+// shares it and HTTPError, so both API families encode alike.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -237,7 +226,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// HTTPError writes a JSON error body with the given status.
+func HTTPError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -23,7 +23,8 @@ var (
 	ErrNoSuchJob = errors.New("service: no such job")
 )
 
-// BadSpecError wraps a spec validation failure (HTTP 400).
+// BadSpecError wraps a job- or campaign-spec validation failure
+// (HTTP 400).
 type BadSpecError struct{ Err error }
 
 func (e *BadSpecError) Error() string { return e.Err.Error() }
@@ -49,27 +50,15 @@ func (s State) Terminal() bool {
 
 // execution is one underlying run: the unit the cache content-
 // addresses and the worker pool executes. Any number of jobs attach to
-// one execution (singleflight); they share its event log and report
-// bytes.
+// one execution (singleflight); they share its lifecycle — state,
+// event log, and report bytes.
 type execution struct {
+	*Lifecycle[Event]
 	digest string
 	spec   JobSpec // normalized
-	log    *eventLog
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	mu         sync.Mutex
-	state      State
-	report     []byte
-	err        error
-	refs       int       // attached, un-canceled jobs
-	finishedAt time.Time // when the execution went terminal
-}
-
-func (e *execution) getState() State {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state
+	refs   atomic.Int64 // attached, un-canceled jobs
 }
 
 // Job is one accepted submission. Deduped jobs point at a shared
@@ -101,7 +90,7 @@ func (j *Job) State() State {
 	if j.canceled.Load() {
 		return StateCanceled
 	}
-	return j.exec.getState()
+	return j.exec.State()
 }
 
 // Digest returns the job's content address.
@@ -109,50 +98,22 @@ func (j *Job) Digest() string { return j.exec.digest }
 
 // Err returns the execution error for failed jobs ("" otherwise).
 func (j *Job) Err() string {
-	j.exec.mu.Lock()
-	defer j.exec.mu.Unlock()
-	if j.exec.err != nil {
-		return j.exec.err.Error()
+	if err := j.exec.Err(); err != nil {
+		return err.Error()
 	}
 	return ""
 }
 
 // Report returns the report bytes and true once the job is done.
-func (j *Job) Report() ([]byte, bool) {
-	j.exec.mu.Lock()
-	defer j.exec.mu.Unlock()
-	if j.exec.state != StateDone {
-		return nil, false
-	}
-	return j.exec.report, true
-}
+func (j *Job) Report() ([]byte, bool) { return j.exec.Report() }
 
-// Events exposes the job's event log for SSE streaming.
-func (j *Job) Events() *eventLog { return j.exec.log }
-
-// Wait blocks until the job reaches a terminal state or ctx expires,
+// Wait blocks until the job's execution is terminal or ctx expires,
 // returning the job's state either way. It rides the event log's wake
 // channel, so waiting costs no polling; a job whose execution was
 // already terminal (cache or store hit) returns immediately.
 func (j *Job) Wait(ctx context.Context) State {
-	idx := 0
-	for {
-		if st := j.State(); st.Terminal() {
-			return st
-		}
-		events, closed, wake := j.exec.log.after(idx)
-		idx += len(events)
-		if closed {
-			return j.State()
-		}
-		if len(events) == 0 {
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return j.State()
-			}
-		}
-	}
+	j.exec.Wait(ctx)
+	return j.State()
 }
 
 // terminalAt returns when the job reached a terminal state, and
@@ -162,13 +123,7 @@ func (j *Job) terminalAt() (time.Time, bool) {
 	if j.canceled.Load() {
 		return time.Unix(0, j.canceledAt.Load()), true
 	}
-	e := j.exec
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.state.Terminal() {
-		return time.Time{}, false
-	}
-	return e.finishedAt, true
+	return j.exec.FinishedAt()
 }
 
 // Options sizes a Manager.
@@ -285,24 +240,20 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 
 	if e, ok := m.cache[digest]; ok {
-		// Re-check the execution's state under its lock before
-		// attaching: finish() marks an execution failed/canceled under
-		// e.mu and only then takes m.mu to evict the digest, so a
-		// submit landing in that window would otherwise attach to the
-		// doomed execution and observe its stale error even though an
-		// identical resubmit is supposed to retry. A terminal non-done
-		// entry here is exactly that window — drop it and fall through
-		// to a fresh execution (finish's own eviction is guarded by an
-		// identity check, so it won't delete the replacement).
-		e.mu.Lock()
-		stale := e.state == StateFailed || e.state == StateCanceled
-		if !stale {
-			e.refs++
-			done := e.state == StateDone
-			e.mu.Unlock()
+		// Re-check the execution's state before attaching. finish()
+		// evicts a failed or canceled execution before publishing its
+		// state, so a terminal non-done entry should never be found
+		// here; if one is, attaching would hand out its stale error even
+		// though an identical resubmit is supposed to retry — drop it
+		// and fall through to a fresh execution (finish's own eviction
+		// is guarded by an identity check, so it won't delete the
+		// replacement).
+		st := e.State()
+		if st != StateFailed && st != StateCanceled {
+			e.refs.Add(1)
 			job := m.newJobLocked(norm, e)
 			job.deduped = true
-			if done {
+			if st == StateDone {
 				m.Metrics.CacheHits.Add(1)
 			} else {
 				m.Metrics.Deduped.Add(1)
@@ -310,7 +261,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 			m.Metrics.Submitted.Add(1)
 			return job, nil
 		}
-		e.mu.Unlock()
 		delete(m.cache, digest)
 	}
 
@@ -322,20 +272,8 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// atomic with cache insertion (no duplicate executions).
 	if m.opts.Store != nil {
 		if body, ok := m.opts.Store.Get(digest); ok {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel() // nothing will run; the execution is born terminal
-			e := &execution{
-				digest:     digest,
-				spec:       norm,
-				log:        newEventLog(),
-				ctx:        ctx,
-				cancel:     cancel,
-				state:      StateDone,
-				report:     body,
-				refs:       1,
-				finishedAt: time.Now(),
-			}
-			e.log.emit(Event{Type: "done"})
+			e := m.newExecution(digest, norm, DoneLifecycle(body, Event{Type: "done"}))
+			e.cancel() // nothing will run; the execution is born terminal
 			m.cache[digest] = e
 			job := m.newJobLocked(norm, e)
 			job.deduped = true
@@ -345,28 +283,31 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	e := &execution{
-		digest: digest,
-		spec:   norm,
-		log:    newEventLog(),
-		ctx:    ctx,
-		cancel: cancel,
-		state:  StateQueued,
-		refs:   1,
-	}
+	// "queued" is emitted before the enqueue so a fast worker's
+	// "running" can never precede it; a rejected execution is dropped
+	// unseen.
+	e := m.newExecution(digest, norm, NewLifecycle[Event](StateQueued))
+	e.Emit(Event{Type: "queued"})
 	select {
 	case m.queue <- e:
 	default:
-		cancel()
+		e.cancel()
 		m.Metrics.Rejected.Add(1)
 		return nil, ErrQueueFull
 	}
 	m.cache[digest] = e
 	job := m.newJobLocked(norm, e)
-	e.log.emit(Event{Type: "queued"})
 	m.Metrics.Submitted.Add(1)
 	return job, nil
+}
+
+// newExecution wraps a lifecycle with its identity, a cancelable
+// context, and one attached job.
+func (m *Manager) newExecution(digest string, spec JobSpec, life *Lifecycle[Event]) *execution {
+	ctx, cancel := context.WithCancel(context.Background())
+	e := &execution{Lifecycle: life, digest: digest, spec: spec, ctx: ctx, cancel: cancel}
+	e.refs.Store(1)
+	return e
 }
 
 // newJobLocked allocates the next job ID; m.mu must be held.
@@ -446,13 +387,8 @@ func (m *Manager) Cancel(id string) (State, error) {
 	}
 	job.canceledAt.Store(time.Now().UnixNano()) // before the flag flips, so GC never reads zero
 	if job.canceled.CompareAndSwap(false, true) {
-		e := job.exec
-		e.mu.Lock()
-		e.refs--
-		last := e.refs <= 0
-		e.mu.Unlock()
-		if last {
-			e.cancel()
+		if job.exec.refs.Add(-1) <= 0 {
+			job.exec.cancel()
 		}
 	}
 	return StateCanceled, nil
@@ -476,12 +412,24 @@ func (m *Manager) JobCount() int {
 }
 
 // Store exposes the durable result store, or nil when persistence is
-// disabled. The campaign engine persists its own state records (point
+// disabled. The campaign engine keeps its own state records (point
 // statuses + aggregate) in the same store, keyed under the campaign's
-// content address, so campaigns survive daemon restarts alongside the
-// job reports they depend on. The manager still owns the store's
-// lifecycle; callers must tolerate ErrClosed after Shutdown.
+// content address and written through Persist, so campaigns survive
+// daemon restarts alongside the job reports they depend on. The
+// manager still owns the store's lifecycle; after Shutdown, Get
+// misses.
 func (m *Manager) Store() *resultstore.Store { return m.opts.Store }
+
+// Persist writes body under key to the durable store (no-op without
+// one). It is best-effort: a failed Put (store closed, disk full) only
+// costs a re-run after the next restart, so it is counted in
+// greenvizd_store_put_errors_total rather than returned. Job reports
+// and campaign state records both persist through here.
+func (m *Manager) Persist(key string, body []byte) {
+	if m.opts.Store != nil && m.opts.Store.Put(key, body) != nil {
+		m.Metrics.StorePutErrors.Add(1)
+	}
+}
 
 // SSEHeartbeat reports the configured idle-stream heartbeat interval
 // (0 = disabled), so secondary APIs (campaigns) serve SSE with the
@@ -558,7 +506,7 @@ func (m *Manager) gc(now time.Time) int {
 			referenced[j.exec] = true
 		}
 		for d, e := range m.cache {
-			if !referenced[e] && e.getState() == StateDone && m.opts.Store.Contains(d) {
+			if !referenced[e] && e.State() == StateDone && m.opts.Store.Contains(d) {
 				delete(m.cache, d)
 			}
 		}
@@ -603,7 +551,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		m.mu.Lock()
 		for _, e := range m.cache {
-			if !e.getState().Terminal() {
+			if !e.State().Terminal() {
 				e.cancel()
 			}
 		}
@@ -631,10 +579,7 @@ func (m *Manager) execute(e *execution) {
 		m.finish(e, nil, context.Canceled)
 		return
 	}
-	e.mu.Lock()
-	e.state = StateRunning
-	e.mu.Unlock()
-	e.log.emit(Event{Type: "running"})
+	e.Advance(StateRunning, Event{Type: "running"})
 	m.Metrics.Running.Add(1)
 	m.Metrics.Executions.Add(1)
 
@@ -656,56 +601,41 @@ func (m *Manager) safeRun(e *execution) (report []byte, err error) {
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	tel := newJobTelemetry(e.ctx, e.log, &m.Metrics)
+	tel := newJobTelemetry(e.ctx, e.Lifecycle, &m.Metrics)
 	return m.run(e.ctx, e.spec, tel)
 }
 
-// finish moves an execution to its terminal state, emits the terminal
-// event, updates counters, persists successful reports to the durable
-// store, and — for anything but success — evicts the digest from the
-// cache so a later identical submit retries instead of inheriting the
-// failure.
+// finish moves an execution to its terminal state through its
+// lifecycle. The step that runs before the state becomes visible either
+// persists a successful report to the durable store — so done implies
+// durable — or evicts a failed or canceled digest from the cache, so a
+// submit that has seen the failure retries instead of inheriting it.
 func (m *Manager) finish(e *execution, report []byte, err error) {
-	e.mu.Lock()
+	state := StateDone
 	switch {
 	case errors.Is(err, context.Canceled):
-		e.state = StateCanceled
-		e.err = err
-	case err != nil:
-		e.state = StateFailed
-		e.err = err
-	default:
-		e.state = StateDone
-		e.report = report
-	}
-	e.finishedAt = time.Now()
-	state := e.state
-	e.mu.Unlock()
-
-	if state == StateDone && m.opts.Store != nil {
-		// Best-effort durability: a failed Put (disk full, permissions)
-		// only costs a re-run after the next restart; the in-memory
-		// cache still serves this process.
-		m.opts.Store.Put(e.digest, report)
-	}
-
-	switch state {
-	case StateDone:
-		m.Metrics.Completed.Add(1)
-		e.log.emit(Event{Type: "done"})
-	case StateCanceled:
+		state = StateCanceled
 		m.Metrics.Canceled.Add(1)
-		e.log.emit(Event{Type: "canceled"})
-	default:
+	case err != nil:
+		state = StateFailed
 		m.Metrics.Failed.Add(1)
-		e.log.emit(Event{Type: "failed", Error: err.Error()})
+	default:
+		m.Metrics.Completed.Add(1)
 	}
-	if state != StateDone {
+	ev := Event{Type: string(state)}
+	if state == StateFailed {
+		ev.Error = err.Error()
+	}
+	e.Finish(state, report, err, ev, func() {
+		if state == StateDone {
+			m.Persist(e.digest, report)
+			return
+		}
 		m.mu.Lock()
 		if m.cache[e.digest] == e {
 			delete(m.cache, e.digest)
 		}
 		m.mu.Unlock()
-	}
+	})
 	e.cancel() // release the context regardless of outcome
 }

@@ -208,10 +208,10 @@ func TestCancelMidRun(t *testing.T) {
 	// execution itself stops at its next cancellation point. Wait for
 	// the underlying run to actually wind down before checking effects.
 	deadline := time.Now().Add(10 * time.Second)
-	for job.exec.getState() != StateCanceled && time.Now().Before(deadline) {
+	for job.exec.State() != StateCanceled && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := job.exec.getState(); st != StateCanceled {
+	if st := job.exec.State(); st != StateCanceled {
 		t.Fatalf("execution stuck in %s, want canceled", st)
 	}
 	if got := m.Metrics.Canceled.Load(); got != 1 {
@@ -220,7 +220,7 @@ func TestCancelMidRun(t *testing.T) {
 	if m.CacheEntries() != 0 {
 		t.Errorf("canceled execution still cached (%d entries)", m.CacheEntries())
 	}
-	evs := job.Events().snapshot()
+	evs, _, _ := job.exec.After(0)
 	if len(evs) == 0 || evs[len(evs)-1].Type != "canceled" {
 		t.Errorf("events = %+v, want trailing canceled", evs)
 	}
@@ -290,7 +290,7 @@ func TestFailureEvicted(t *testing.T) {
 	if m.CacheEntries() != 0 {
 		t.Errorf("failed execution still cached (%d entries)", m.CacheEntries())
 	}
-	evs := job.Events().snapshot()
+	evs, _, _ := job.exec.After(0)
 	if len(evs) == 0 || evs[len(evs)-1].Type != "failed" || evs[len(evs)-1].Error == "" {
 		t.Errorf("events = %+v, want trailing failed with error", evs)
 	}

@@ -30,6 +30,11 @@ type Metrics struct {
 	Failed    atomic.Uint64
 	Canceled  atomic.Uint64
 
+	// StorePutErrors counts durable-store writes that failed (job
+	// reports and campaign state records): the result stays served from
+	// memory but will not survive a restart.
+	StorePutErrors atomic.Uint64
+
 	// Retired counts terminal jobs pruned by retention GC.
 	Retired atomic.Uint64
 
@@ -119,6 +124,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth, cacheEntries, jobs int, store
 	fmt.Fprintf(w, "greenvizd_store_evictions_total %d\n", store.Evictions)
 	fmt.Fprintf(w, "greenvizd_store_hits_total %d\n", store.Hits)
 	fmt.Fprintf(w, "greenvizd_store_misses_total %d\n", store.Misses)
+	fmt.Fprintf(w, "greenvizd_store_put_errors_total %d\n", m.StorePutErrors.Load())
 
 	m.mu.Lock()
 	phases := make([]string, 0, len(m.stageJoules))

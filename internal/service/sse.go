@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,20 +14,10 @@ import (
 // StreamSSE, so wire framing, replay-then-follow semantics, and the
 // idle-stream heartbeat behave identically on every endpoint.
 
-// SSEEvent is one wire event: an SSE "event:" name and its JSON
-// "data:" payload.
-type SSEEvent struct {
-	Name string
-	Data []byte
-}
-
-// StreamSSE serves an append-only event sequence as Server-Sent
-// Events. next is the replay-then-follow cursor: given the number of
-// events already written it returns the events past that index,
-// whether the stream is closed (terminal event emitted), and a channel
-// that closes on the next append. StreamSSE replays everything
-// available, then follows live until the stream closes or the client
-// disconnects.
+// StreamSSE serves a lifecycle's event log as Server-Sent Events: it
+// replays everything emitted so far, then follows live until the
+// terminal event or the client disconnects. Each event goes out as its
+// Kind on the "event:" line and its JSON encoding on the "data:" line.
 //
 // When heartbeat is positive, an idle stream (no event for a full
 // heartbeat interval) emits a `: heartbeat` comment line and flushes
@@ -34,10 +25,10 @@ type SSEEvent struct {
 // sever long-lived watches (a campaign can sit minutes between point
 // completions). Comments are invisible to EventSource clients by
 // specification. Zero or negative disables heartbeats.
-func StreamSSE(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, next func(idx int) ([]SSEEvent, bool, <-chan struct{})) {
+func StreamSSE[E Payload[E]](w http.ResponseWriter, r *http.Request, heartbeat time.Duration, log *Lifecycle[E]) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		HTTPError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -54,9 +45,13 @@ func StreamSSE(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, 
 
 	idx := 0
 	for {
-		events, closed, wake := next(idx)
+		events, closed, wake := log.After(idx)
 		for _, ev := range events {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, ev.Data)
+			data, err := json.Marshal(ev)
+			if err != nil {
+				continue
+			}
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind(), data)
 		}
 		idx += len(events)
 		if len(events) > 0 {

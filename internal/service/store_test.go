@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,13 +26,13 @@ func openStore(t *testing.T, dir string, maxBytes int64, maxEntries int) *result
 }
 
 // TestAttachRechecksStaleTerminal is the regression test for the
-// attach/evict race: finish() marks an execution failed (or canceled)
-// under the execution lock and only afterwards takes the manager lock
-// to evict the digest, so a submit landing between the two used to
-// attach to the doomed execution and report its stale error — even
-// though the documented contract is that failed digests retry. Submit
-// now re-checks the state under the execution lock and replaces the
-// stale entry with a fresh execution.
+// attach/evict race: finish() used to publish an execution failed (or
+// canceled) before taking the manager lock to evict the digest, so a
+// submit landing between the two attached to the doomed execution and
+// reported its stale error — even though the documented contract is
+// that failed digests retry. finish() now evicts first, and Submit
+// still re-checks the state and replaces a stale entry with a fresh
+// execution.
 func TestAttachRechecksStaleTerminal(t *testing.T) {
 	for _, staleState := range []State{StateFailed, StateCanceled} {
 		t.Run(string(staleState), func(t *testing.T) {
@@ -46,20 +48,11 @@ func TestAttachRechecksStaleTerminal(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Reconstruct the race window: a terminal non-done execution
-			// still sitting in the cache because its finish() hasn't
-			// reached the eviction step yet.
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			stale := &execution{
-				digest: digest,
-				spec:   norm,
-				log:    newEventLog(),
-				ctx:    ctx,
-				cancel: cancel,
-				state:  staleState,
-				err:    fmt.Errorf("stale %s error", staleState),
-			}
+			// Reconstruct the old race window: a terminal non-done
+			// execution still sitting in the cache.
+			stale := m.newExecution(digest, norm, NewLifecycle[Event](StateRunning))
+			stale.cancel()
+			stale.Finish(staleState, nil, fmt.Errorf("stale %s error", staleState), Event{Type: string(staleState)}, nil)
 			m.mu.Lock()
 			m.cache[digest] = stale
 			m.mu.Unlock()
@@ -243,7 +236,7 @@ func TestStoreWarmStart(t *testing.T) {
 	}
 	// The synthesized execution's event log terminates, so SSE
 	// replays close.
-	evs := warm.Events().snapshot()
+	evs, _, _ := warm.exec.After(0)
 	if len(evs) == 0 || !evs[len(evs)-1].Terminal() {
 		t.Errorf("warm job events = %+v, want terminal tail", evs)
 	}
@@ -335,9 +328,14 @@ func TestStoreCorruptionAtGet(t *testing.T) {
 	// dropping the in-memory execution (what retention GC does on a
 	// long-lived daemon).
 	path := filepath.Join(dir, job.Digest()+".rec")
-	raw, _ := os.ReadFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[len(raw)-6] ^= 0x01
-	os.WriteFile(path, raw, 0o644)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	m.mu.Lock()
 	delete(m.cache, job.Digest())
 	m.mu.Unlock()
@@ -384,5 +382,62 @@ func TestStoreEvictionUnderManager(t *testing.T) {
 	}
 	if st.Entries >= 3 {
 		t.Errorf("entries = %d, want < 3", st.Entries)
+	}
+}
+
+// TestDoneImpliesDurable pins the lifecycle's ordering contract: the
+// instant a job first reads done, its report is already in the store.
+// Each iteration submits a fresh digest and spins on State, so a
+// finish that published done before persisting is caught in the
+// window between the two.
+func TestDoneImpliesDurable(t *testing.T) {
+	store := openStore(t, t.TempDir(), 0, 0)
+	m := newStubManager(t, Options{Workers: 1, Store: store}, &stubRunner{report: []byte("durable")})
+	for i := 0; i < 200; i++ {
+		job, err := m.Submit(JobSpec{Experiment: "fig4", Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !job.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: job stuck in %s", i, job.State())
+			}
+			runtime.Gosched()
+		}
+		if !store.Contains(job.Digest()) {
+			t.Fatalf("iteration %d: job reads %s before its report is in the store", i, job.State())
+		}
+		if st := job.State(); st != StateDone {
+			t.Fatalf("iteration %d: state = %s, want done", i, st)
+		}
+	}
+}
+
+// TestStorePutErrorsCounted: a Put that fails (here the store is
+// already closed) leaves the job done and served from memory, and is
+// counted on /metrics instead of dropped silently.
+func TestStorePutErrorsCounted(t *testing.T) {
+	store := openStore(t, t.TempDir(), 0, 0)
+	m := newStubManager(t, Options{Workers: 1, Store: store}, &stubRunner{report: []byte("memory only")})
+	store.Close()
+
+	job, err := m.Submit(JobSpec{Experiment: "fig4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Wait(context.Background()); st != StateDone {
+		t.Fatalf("state = %s, want done", st)
+	}
+	if body, ok := job.Report(); !ok || string(body) != "memory only" {
+		t.Errorf("report = %q, %v", body, ok)
+	}
+	if got := m.Metrics.StorePutErrors.Load(); got != 1 {
+		t.Errorf("StorePutErrors = %d, want 1", got)
+	}
+	var text bytes.Buffer
+	m.Metrics.WriteTo(&text, m.QueueDepth(), m.CacheEntries(), m.JobCount(), m.StoreStats())
+	if !strings.Contains(text.String(), "greenvizd_store_put_errors_total 1\n") {
+		t.Errorf("/metrics lacks the put-error count:\n%s", text.String())
 	}
 }
