@@ -22,12 +22,15 @@ static:
 # report against the committed golden digest), the golden-output
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
-# they are skipped there and must run here explicitly), and a short
-# fuzz pass over the checkpoint decoder (seeds plus 10s of mutation).
+# they are skipped there and must run here explicitly), and short
+# fuzz passes over the checkpoint decoder and the -faults spec parser
+# (seeds plus 10s of mutation each).
 # A stress leg reruns the done-implies-durable tests 20 times on one
 # core under the race detector, since their failures are ordering races
 # a single pass can miss (~20 min on 2 vCPUs: TestResumeFromStore runs
 # four real pipelines per pass, so it gets the race gate's timeout).
+# The TestDoneImpliesDurable pair raises GOMAXPROCS to 2 for itself:
+# at 1 nothing preempts the publish-persist window they watch.
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -37,6 +40,7 @@ check: static
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

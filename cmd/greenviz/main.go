@@ -52,9 +52,9 @@ func run() int {
 		realSubsteps = flag.Int("real-substeps", 16, "solver sub-steps computed per iteration (<= 1536); higher is more faithful, slower")
 		fioGiB       = flag.Int("fio-gib", 4, "fio test file size in GiB (Table III uses 4)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiment drivers for -experiment all")
-		kernWorkers  = flag.Int("kernel-workers", 0, "intra-step data parallelism of the solver/render/encode kernels (0 = GOMAXPROCS); output is byte-identical at any value")
+		kernWorkers  = flag.Int("kernel-workers", 0, "intra-step data parallelism of the render and checkpoint-encode kernels (0 = GOMAXPROCS; solver sweeps are serial); output is byte-identical at any value")
 		csvDir       = flag.String("csv", "", "directory to dump case-study power profiles as CSV")
-		faults       = flag.String("faults", "", "inject storage faults: comma-separated bitrot=,readerr=,writeerr=,latency=,drop= (probabilities), spike=,timeout= (seconds), seed= — empty disables injection (byte-identical output)")
+		faults       = flag.String("faults", "", "inject storage faults: comma-separated bitrot=,readerr=,writeerr=,latency=,drop= (probabilities), spike=,timeout= (seconds, at most 60), seed= — empty disables injection (byte-identical output)")
 
 		campaignPath = flag.String("campaign", "", "run a campaign spec file (JSON): sweep pipeline/device/power-cap axes and print the greenness report")
 

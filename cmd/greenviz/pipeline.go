@@ -29,8 +29,6 @@ func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSub
 	}
 	cfg.RetainFrames = framesDir != ""
 	cfg.Faults = faults
-	// KernelWorkers must land before ConfigureApp: the ocean preset
-	// captures it when wiring its solver constructor.
 	cfg.KernelWorkers = kernelWorkers
 	if err := greenviz.ConfigureApp(&cfg, app); err != nil {
 		return err

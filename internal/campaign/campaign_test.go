@@ -367,8 +367,14 @@ func TestResumeFromStore(t *testing.T) {
 // loadState finds it. The sweep's one job runs once up front; each
 // iteration seeds a fresh store with its report, so every point is a
 // store or cache hit and the loop exercises only the campaign's own
-// persist-then-publish step.
+// persist-then-publish step. Like the service test of the same name it
+// raises GOMAXPROCS to at least 2 for its duration: at 1 nothing
+// preempts the finishing goroutine between publish and persist.
 func TestDoneImpliesDurable(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	kernelWorkers := make([]string, 32)
 	for i := range kernelWorkers {
 		kernelWorkers[i] = fmt.Sprint(i + 1)

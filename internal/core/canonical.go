@@ -23,13 +23,9 @@ func (cfg AppConfig) AppendCanonical(dst []byte) []byte {
 	b := append(dst, "v1\n"...)
 	// heat.Params is a flat value struct (Sources are values too), so
 	// its %+v form is deterministic and spelled out field by field
-	// below. Workers (like KernelWorkers, and Render.Workers) only
-	// partitions the kernels' work — output bytes are identical at any
-	// setting — so it is zeroed out of the content address.
-	hp := cfg.Heat
-	hp.Workers = 0
+	// below.
 	b = append(b, "heat:"...)
-	b = appendHeatParams(b, hp)
+	b = appendHeatParams(b, cfg.Heat)
 	b = append(b, "\nsubsteps:"...)
 	b = strconv.AppendInt(b, int64(cfg.SubstepsPerIteration), 10)
 	b = append(b, " real:"...)
@@ -129,7 +125,9 @@ func appendTrimUnit(b []byte, v float64, unit string) []byte {
 	return append(b, unit...)
 }
 
-// appendHeatParams appends the %+v form of a heat.Params value.
+// appendHeatParams appends the %+v form of a heat.Params value, with
+// the ignored Workers field always printed as 0 so the content address
+// never depends on it.
 func appendHeatParams(b []byte, p heat.Params) []byte {
 	b = append(b, "{NX:"...)
 	b = strconv.AppendInt(b, int64(p.NX), 10)
@@ -149,9 +147,7 @@ func appendHeatParams(b []byte, p heat.Params) []byte {
 	b = appendG(b, p.BoundaryTemp)
 	b = append(b, " InitialTemp:"...)
 	b = appendG(b, p.InitialTemp)
-	b = append(b, " Workers:"...)
-	b = strconv.AppendInt(b, int64(p.Workers), 10)
-	b = append(b, " Sources:["...)
+	b = append(b, " Workers:0 Sources:["...)
 	for i, s := range p.Sources {
 		if i > 0 {
 			b = append(b, ' ')

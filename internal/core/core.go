@@ -186,10 +186,10 @@ type AppConfig struct {
 	InsituPayload units.Bytes
 	// Render configures the per-event visualization.
 	Render viz.RenderOptions
-	// KernelWorkers caps the intra-step data parallelism of every hot
-	// kernel (solver sweeps, render fill/contour, checkpoint encode):
-	// validate propagates it into Heat.Workers, Render.Workers, and the
-	// checkpoint encoder unless those are already set. 0 means
+	// KernelWorkers caps the intra-step data parallelism of the render
+	// fill/contour and the checkpoint encode (the solver sweeps are
+	// serial): validate propagates it into Render.Workers unless that is
+	// already set, and the checkpoint encoder takes it as is. 0 means
 	// GOMAXPROCS. Output bytes are identical at any setting, so it is
 	// excluded from CanonicalDigest.
 	KernelWorkers int
@@ -290,9 +290,6 @@ func validate(cs CaseStudy, cfg *AppConfig) {
 	}
 	if cfg.KernelWorkers < 0 {
 		panic("core: KernelWorkers must be >= 0")
-	}
-	if cfg.Heat.Workers == 0 {
-		cfg.Heat.Workers = cfg.KernelWorkers
 	}
 	if cfg.Render.Workers == 0 {
 		cfg.Render.Workers = cfg.KernelWorkers

@@ -21,6 +21,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -217,10 +218,18 @@ func (i *Injector) DropTimeout() units.Seconds {
 	return i.cfg.DropTimeout
 }
 
+// maxSeconds caps the spike and timeout durations ParseSpec accepts.
+// Every injected fault stretches the simulated run by that long, and
+// the host time of a run grows with its simulated length, so a huge
+// value (1e300, Inf) keeps a run going for practically ever. A minute
+// is far beyond any realistic stall.
+const maxSeconds = 60
+
 // ParseSpec parses the CLI's -faults value: a comma-separated list of
 // key=value pairs among bitrot, readerr, writeerr, latency, drop
-// (probabilities in [0,1]), spike, timeout (seconds), and seed. An
-// empty spec returns (nil, nil): injection off.
+// (probabilities in [0,1]), spike, timeout (seconds in [0, 60]), and
+// seed. Non-finite values are rejected. An empty spec returns
+// (nil, nil): injection off.
 func ParseSpec(spec string) (*Config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -244,6 +253,9 @@ func ParseSpec(spec string) (*Config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault: bad value %q for %s: %v", val, key, err)
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("fault: %s must be finite, got %v", key, f)
+		}
 		if f < 0 {
 			return nil, fmt.Errorf("fault: %s must be non-negative, got %v", key, f)
 		}
@@ -251,6 +263,10 @@ func ParseSpec(spec string) (*Config, error) {
 		case "bitrot", "readerr", "writeerr", "latency", "drop":
 			if f > 1 {
 				return nil, fmt.Errorf("fault: %s is a probability, got %v > 1", key, f)
+			}
+		case "spike", "timeout":
+			if f > maxSeconds {
+				return nil, fmt.Errorf("fault: %s is capped at %d s, got %v", key, maxSeconds, f)
 			}
 		}
 		switch key {

@@ -140,10 +140,17 @@ func TestParseSpec(t *testing.T) {
 	if c, err := ParseSpec(""); c != nil || err != nil {
 		t.Errorf("empty spec = %+v, %v; want nil, nil", c, err)
 	}
-	for _, bad := range []string{"bitrot", "bitrot=x", "bitrot=-1", "bitrot=1.5", "nope=1", "seed=abc"} {
+	for _, bad := range []string{
+		"bitrot", "bitrot=x", "bitrot=-1", "bitrot=1.5", "nope=1", "seed=abc",
+		// Non-finite and unbounded durations would stall a run forever.
+		"bitrot=nan", "spike=inf", "spike=1e300", "timeout=-inf", "spike=60.5",
+	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
+	}
+	if c, err := ParseSpec("latency=1,spike=60,timeout=60"); err != nil || c.Spike != maxSeconds || c.DropTimeout != maxSeconds {
+		t.Errorf("ParseSpec at the cap = %+v, %v", c, err)
 	}
 }
 

@@ -147,6 +147,8 @@ func TestConvergesToSteadyState(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsAgree pins that the deprecated Workers field is
+// inert: solvers differing only there produce identical fields.
 func TestWorkerCountsAgree(t *testing.T) {
 	p := smallParams()
 	p.Workers = 1

@@ -1,11 +1,12 @@
-// Package par is the shared data-parallel engine under every hot
-// kernel: the solver stencil sweeps (internal/heat, internal/ocean),
-// the renderer's colormap fill and marching-squares pass
-// (internal/viz), and the checkpoint encode/CRC (internal/checkpoint).
-// It decomposes an index range into contiguous bands — row bands for
-// grid sweeps, byte tiles for encoders — and executes them on one
-// process-wide pool of persistent workers, the way in-situ frameworks
-// get intra-timestep throughput from domain decomposition.
+// Package par is the shared data-parallel engine under the render and
+// encode kernels: the renderer's colormap fill and marching-squares
+// pass (internal/viz) and the checkpoint encode/CRC
+// (internal/checkpoint). The solver stencils do not use it: their
+// sweeps are cheaper serial than banded. It decomposes an index range
+// into contiguous bands — row bands for raster fills, cell tiles for
+// encoders — and executes them on one process-wide pool of persistent
+// workers, the way in-situ frameworks get intra-timestep throughput
+// from domain decomposition.
 //
 // The engine makes three promises the kernels build on:
 //
@@ -24,7 +25,7 @@
 //     If every worker is busy serving other pipelines, the call simply
 //     degrades toward serial — it never waits for a free worker.
 //
-// For and Reduce are safe for concurrent use from any number of
+// ForLimit and Reduce are safe for concurrent use from any number of
 // goroutines; concurrent pipelines share the worker pool.
 package par
 
@@ -38,7 +39,7 @@ import (
 // size band, executed by the caller plus any recruited helpers, each
 // pulling the next unclaimed band from the atomic cursor.
 type job struct {
-	fn    func(lo, hi int)       // set by For/ForLimit
+	fn    func(lo, hi int)       // set by ForLimit
 	mapFn func(band, lo, hi int) // set by Reduce (exactly one of the two)
 	n     int
 	band  int
@@ -105,9 +106,6 @@ func ensureWorkers(want int32) {
 	}
 }
 
-// Workers returns the default per-call worker limit: GOMAXPROCS.
-func Workers() int { return runtime.GOMAXPROCS(0) }
-
 // Bands returns the number of bands ForLimit(workers, n, grain, ...)
 // decomposes [0, n) into — callers sizing per-band scratch (Reduce
 // merges) use it. Boundaries depend only on (workers, n, grain).
@@ -117,7 +115,7 @@ func Bands(workers, n, grain int) int {
 	}
 	w := workers
 	if w <= 0 {
-		w = Workers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if grain < 1 {
 		grain = 1
@@ -138,15 +136,12 @@ func Bands(workers, n, grain int) int {
 // bandSize returns the per-band length for count bands over n.
 func bandSize(n, count int) int { return (n + count - 1) / count }
 
-// For splits [0, n) into contiguous bands of at least grain indices
-// and calls fn(lo, hi) once per band, using up to GOMAXPROCS workers
-// (the caller included). It returns when every band has completed.
-// fn must treat [lo, hi) as its exclusive output region.
-func For(n, grain int, fn func(lo, hi int)) { ForLimit(0, n, grain, fn) }
-
-// ForLimit is For with an explicit per-call worker limit; workers <= 0
-// selects GOMAXPROCS. With one band the call runs inline with no
-// synchronization, so workers == 1 is exactly the serial kernel.
+// ForLimit splits [0, n) into contiguous bands of at least grain
+// indices and calls fn(lo, hi) once per band, using up to workers
+// goroutines (the caller included; workers <= 0 selects GOMAXPROCS).
+// It returns when every band has completed. fn must treat [lo, hi) as
+// its exclusive output region. With one band the call runs inline with
+// no synchronization, so workers == 1 is exactly the serial kernel.
 func ForLimit(workers, n, grain int, fn func(lo, hi int)) {
 	count := Bands(workers, n, grain)
 	if count <= 1 {

@@ -209,7 +209,7 @@ func TestForSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFor measures one 126-row band sweep (the solvers' shape) at
+// BenchmarkFor measures one 126-row band sweep over 128-wide rows at
 // the current GOMAXPROCS; run with -cpu 1,2,4 to see scaling.
 func BenchmarkFor(b *testing.B) {
 	data := make([]float64, 126*128)
@@ -224,6 +224,6 @@ func BenchmarkFor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		For(126, 8, kernel)
+		ForLimit(0, 126, 8, kernel)
 	}
 }

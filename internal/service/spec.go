@@ -64,8 +64,9 @@ type JobSpec struct {
 	FioGiB int `json:"fio_gib,omitempty"`
 	// Faults is the CLI's -faults spec string (empty: injection off).
 	Faults string `json:"faults,omitempty"`
-	// KernelWorkers caps the intra-step data parallelism of the hot
-	// kernels (0 = GOMAXPROCS), like the CLI's -kernel-workers. Output
+	// KernelWorkers caps the intra-step data parallelism of the render
+	// fill/contour and the checkpoint encode (0 = GOMAXPROCS; the
+	// solver sweeps are serial), like the CLI's -kernel-workers. Output
 	// bytes are identical at any setting, so it is excluded from the
 	// job's content address: submits differing only here share one
 	// cached result.
@@ -197,8 +198,6 @@ func (s JobSpec) Config() (core.AppConfig, error) {
 	if s.RealSubsteps > 0 {
 		cfg.RealSubsteps = s.RealSubsteps
 	}
-	// KernelWorkers must land before ConfigureApp: the ocean preset
-	// captures it when wiring its solver constructor.
 	cfg.KernelWorkers = s.KernelWorkers
 	cfg.InsituNoSync = s.InsituNoSync
 	cfg.CompressInsitu = s.CompressInsitu

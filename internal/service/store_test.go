@@ -389,8 +389,14 @@ func TestStoreEvictionUnderManager(t *testing.T) {
 // instant a job first reads done, its report is already in the store.
 // Each iteration submits a fresh digest and spins on State, so a
 // finish that published done before persisting is caught in the
-// window between the two.
+// window between the two. That window only opens when the spinning
+// goroutine can run beside the finishing one, so the test raises
+// GOMAXPROCS to at least 2 for its duration.
 func TestDoneImpliesDurable(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	store := openStore(t, t.TempDir(), 0, 0)
 	m := newStubManager(t, Options{Workers: 1, Store: store}, &stubRunner{report: []byte("durable")})
 	for i := 0; i < 200; i++ {

@@ -23,9 +23,10 @@
 #   1b. The suite pass: the serial-vs-parallel full-suite pair, one
 #      iteration each (they run the whole 24-experiment registry,
 #      ~30 s/op).
-#   2. The kernel scaling pass: the par-engine kernels (heat/ocean
-#      BenchmarkStep128, viz BenchmarkRender512, BenchmarkCheckpointEncode,
-#      par BenchmarkFor) at -cpu 1,2,4, also min-of-COUNT. Names are
+#   2. The kernel scaling pass: the real-arithmetic kernels (the
+#      serial heat/ocean BenchmarkStep128, the par-engine viz
+#      BenchmarkRender512 and BenchmarkCheckpointEncode, and par
+#      BenchmarkFor) at -cpu 1,2,4, also min-of-COUNT. Names are
 #      recorded as pkg/Benchmark-N so the per-worker-count scaling is
 #      explicit. On a single-core host the -cpu 2/4 rows measure
 #      oversubscription, not scaling — the recorded "cores" field says
