@@ -53,7 +53,7 @@ golden-update:
 	$(GO) test -run '^TestGolden' -timeout 30m -update ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m -update ./internal/campaign
 
-# bench records the benchmark set into BENCH_pr10.json.
+# bench records the benchmark set into BENCH_pr14.json.
 bench:
 	scripts/bench.sh
 

@@ -215,7 +215,6 @@ func benchSuiteAll(b *testing.B, workers int) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		s := benchSuite(uint64(i) + 1)
-		s.Fio.FileSize = 64 * MiB
 		reports, err := RunAllExperiments(ctx, s, workers)
 		if err != nil {
 			b.Fatal(err)

@@ -198,11 +198,11 @@ func (b *BurstBuffer) scheduleDrain() {
 // drainStep ships one resident range to the backing store and
 // reschedules until the tier is empty.
 func (b *BurstBuffer) drainStep() {
-	if b.resident.Empty() {
+	r, ok := b.resident.First()
+	if !ok {
 		b.draining = false
 		return
 	}
-	r := b.resident.Ranges()[0]
 	b.resident.Remove(r)
 	b.stats.DrainedBytes += r.Len()
 	b.backing.Submit(OpWrite, r.Start, r.Len(), func() {

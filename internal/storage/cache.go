@@ -119,7 +119,7 @@ func (c *PageCache) Write(off, n units.Bytes) {
 	// Buffer in batch-sized chunks so dirty-limit throttling interleaves
 	// with the copy, as the kernel's per-page balance_dirty_pages does.
 	for n > 0 {
-		take := min64(n, c.params.BatchBytes)
+		take := min(n, c.params.BatchBytes)
 		c.throttle(take)
 		c.engine.Advance(units.TransferTime(take, c.params.MemBW))
 		r := Range{off, off + take}
@@ -164,10 +164,9 @@ func (c *PageCache) Read(off, n units.Bytes) {
 		return
 	}
 	r := Range{off, off + n}
-	gaps := c.dirtyAwareGaps(r)
 	var missBytes units.Bytes
 	var last sim.Time
-	for _, g := range gaps {
+	for _, g := range c.cached.Gaps(r) {
 		missBytes += g.Len()
 		last = c.disk.Submit(OpRead, g.Start, g.Len(), nil)
 	}
@@ -180,11 +179,6 @@ func (c *PageCache) Read(off, n units.Bytes) {
 	c.stats.ReadMisses += missBytes
 	// Delivering to the caller's buffer costs one pass at memory speed.
 	c.engine.Advance(units.TransferTime(n, c.params.MemBW))
-}
-
-// dirtyAwareGaps returns the sub-ranges of r that must come from media.
-func (c *PageCache) dirtyAwareGaps(r Range) []Range {
-	return c.cached.Gaps(r)
 }
 
 // Sync drains the entire dirty set to media and blocks until the media
@@ -234,14 +228,9 @@ func (c *PageCache) SyncRanges(ranges []Range) {
 
 // DropCaches evicts clean pages (echo 1 > drop_caches). Dirty pages
 // stay resident, as on Linux; call Sync first to empty the cache fully.
+// Dirty data is always cached, so what stays is exactly the dirty set.
 func (c *PageCache) DropCaches() {
-	clean := c.cached.Clone()
-	for _, d := range c.dirty.Ranges() {
-		clean.Remove(d)
-	}
-	for _, r := range clean.Ranges() {
-		c.cached.Remove(r)
-	}
+	c.cached = *c.dirty.Clone()
 }
 
 // Invalidate drops a range from the cache entirely (file deletion).

@@ -210,7 +210,7 @@ func (f *File) diskRanges(off, n units.Bytes) []Range {
 	for n > 0 {
 		idx := int(off / es)
 		within := off % es
-		take := min64(n, es-within)
+		take := min(n, es-within)
 		e := f.extents[idx]
 		out = append(out, Range{e.Start + within, e.Start + within + take})
 		off += take
@@ -438,7 +438,7 @@ func (f *File) fill(p []byte, off units.Bytes) {
 	}
 	for _, s := range f.retained {
 		sr := Range{s.Off, s.Off + units.Bytes(len(s.Data))}
-		seg := Range{max64(sr.Start, off), min64(sr.End, end)}
+		seg := Range{max(sr.Start, off), min(sr.End, end)}
 		if seg.Empty() {
 			continue
 		}

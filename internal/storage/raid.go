@@ -75,7 +75,7 @@ func (s *StripedDisk) Submit(op Op, offset, n units.Bytes, done func()) sim.Time
 	for n > 0 {
 		stripeIdx := offset / s.stripe
 		within := offset % s.stripe
-		take := min64(n, s.stripe-within)
+		take := min(n, s.stripe-within)
 		member := int(stripeIdx) % len(s.members)
 		memberOff := (stripeIdx/units.Bytes(len(s.members)))*s.stripe + within
 		end := s.members[member].Submit(op, memberOff, take, nil)

@@ -15,6 +15,16 @@ func rs(pairs ...units.Bytes) *RangeSet {
 	return s
 }
 
+// Ranges returns the set's maximal ranges in ascending order, as a
+// fresh O(n) copy.
+func (s *RangeSet) Ranges() []Range {
+	var out []Range
+	for _, ch := range s.chunks {
+		out = append(out, ch...)
+	}
+	return out
+}
+
 func equalRanges(a []Range, b []Range) bool {
 	if len(a) != len(b) {
 		return false

@@ -20,9 +20,10 @@
 #      makes bench_compare's 10% gate usable. Names are recorded bare
 #      (no -N suffix) so they stay comparable across BENCH_*.json
 #      generations.
-#   1b. The suite pass: the serial-vs-parallel full-suite pair, one
-#      iteration each (they run the whole 24-experiment registry,
-#      ~30 s/op).
+#   1b. The suite pass: the serial-vs-parallel full-suite pair and
+#      BenchmarkTable3 (fio at the shipped 4 GiB), one iteration each
+#      (the pair runs the whole 24-experiment registry at the shipped
+#      config: ~31–36 s serial, ~16–19 s parallel on a 2-vCPU Xeon).
 #   2. The kernel scaling pass: the real-arithmetic kernels (the
 #      serial heat/ocean BenchmarkStep128, the par-engine viz
 #      BenchmarkRender512 and BenchmarkCheckpointEncode, and par
@@ -38,7 +39,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_pr10.json}"
+out="${1:-BENCH_pr14.json}"
 raw="$(mktemp)"
 rawk="$(mktemp)"
 trap 'rm -f "$raw" "$rawk"' EXIT
@@ -49,7 +50,7 @@ go test -run '^$' \
     . ./internal/fault ./internal/core/stagegraph ./internal/telemetry ./internal/service ./internal/resultstore ./internal/campaign | tee "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkSuiteAllSerial|BenchmarkSuiteAllParallel)$' \
+    -bench '^(BenchmarkSuiteAllSerial|BenchmarkSuiteAllParallel|BenchmarkTable3)$' \
     -benchmem -benchtime "${SUITE_BENCHTIME:-1x}" -count "${SUITE_COUNT:-1}" \
     . | tee -a "$raw"
 

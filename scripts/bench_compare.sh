@@ -3,8 +3,9 @@
 #
 # Usage: scripts/bench_compare.sh [new.json] [baseline.json]
 #
-# new.json defaults to BENCH_pr10.json; the baseline defaults to the
-# newest committed BENCH_*.json other than new.json (by PR number).
+# new.json defaults to the newest committed BENCH_*.json (by PR
+# number); the baseline defaults to the newest committed one other than
+# new.json.
 # Benchmarks are matched by name; ones present in only one file are
 # reported but don't fail the check (new kernels have no baseline, and
 # retired benchmarks leave one behind). A matched benchmark fails when
@@ -21,15 +22,12 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-new="${1:-BENCH_pr10.json}"
-base="${2:-}"
+# Version sort, not lexical: BENCH_pr10.json is newer than BENCH_pr9.json.
+ledgers="$(git ls-files 'BENCH_*.json' | sort -V)"
+new="${1:-$(echo "$ledgers" | tail -1)}"
+base="${2:-$(echo "$ledgers" | grep -vxF "$new" | tail -1)}"
 threshold="${THRESHOLD:-10}"
 
-if [ -z "$base" ]; then
-    # Version sort, not lexical: BENCH_pr10.json is newer than
-    # BENCH_pr9.json.
-    base="$(git ls-files 'BENCH_*.json' | grep -v "^$new\$" | sort -V | tail -1)"
-fi
 if [ -z "$base" ] || [ ! -f "$base" ]; then
     echo "bench_compare: no committed baseline BENCH_*.json found" >&2
     exit 1
